@@ -78,22 +78,52 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("trace.overhead.cpu_us_per_resp", "us"),
 ];
 
-/// Set-ups timed in every run; `setup_s` is their median.
-const SETUPS: usize = 101;
+/// Set-ups timed in one burst.
+const SETUP_BURST: usize = 21;
+/// Bursts a run times at least, topping up at its end.
+const MIN_BURSTS: usize = 8;
+/// The quantile of the set-up times `setup_s` reports.
+const SETUP_QUANTILE: f64 = 0.02;
 
-/// Median wall time, in seconds, of [`SETUPS`] calls of `setup`; each
-/// result is dropped, untimed, before the next call.
-pub fn setup_s<T>(mut setup: impl FnMut() -> T) -> f64 {
-    let times: Vec<f64> = (0..SETUPS)
-        .map(|_| {
+/// Set-up wall times gathered in bursts spread over a run.
+///
+/// A set-up is a few hundred microseconds of allocation and
+/// single-threaded work, and its speed swings with the host: on a
+/// shared 2-vCPU machine an `sfs_threaded` set-up takes ~0.19 ms or
+/// ~0.28 ms, switching within a burst and from second to second, and
+/// the share of slow ones changes from run to run and over minutes. A
+/// median follows that share (two ten-run sets on the same code
+/// differed by 27%), so `setup_s` is the low quantile
+/// [`SETUP_QUANTILE`] of every set-up in the run. Bursts follow every
+/// unit of work (batch, simulation, server), and a run with few units
+/// tops up at its end with bursts spaced as if they had followed units
+/// spread over the run, so that every run samples the host for seconds.
+#[derive(Debug, Default)]
+pub struct SetupTimes(Vec<f64>);
+
+impl SetupTimes {
+    /// Times [`SETUP_BURST`] calls of `setup`; each result is dropped,
+    /// untimed, before the next call.
+    pub fn burst<T>(&mut self, mut setup: impl FnMut() -> T) {
+        for _ in 0..SETUP_BURST {
             let t0 = Instant::now();
             let ready = setup();
-            let secs = t0.elapsed().as_secs_f64();
+            self.0.push(t0.elapsed().as_secs_f64());
             drop(ready);
-            secs
-        })
-        .collect();
-    stats::median(&times)
+        }
+    }
+
+    /// Tops up to [`MIN_BURSTS`] bursts, spaced as if they followed
+    /// units spread over the `seconds` the run measured, and returns
+    /// `setup_s`, in seconds.
+    pub fn finish<T>(mut self, seconds: u64, mut setup: impl FnMut() -> T) -> f64 {
+        let gap = Duration::from_secs(seconds) / MIN_BURSTS as u32;
+        while self.0.len() < MIN_BURSTS * SETUP_BURST {
+            std::thread::sleep(gap);
+            self.burst(&mut setup);
+        }
+        stats::percentile(&mut self.0, SETUP_QUANTILE)
+    }
 }
 
 /// Facts about the host every workload converts with.
@@ -175,24 +205,34 @@ pub struct Outcome {
     pub metrics: BTreeMap<&'static str, f64>,
     /// Figures printed for the reader only: `(name, value, unit)`.
     pub notes: Vec<(&'static str, f64, &'static str)>,
-    rss_after_first: f64,
+    /// Repeated units finished, and the resident memory the units after
+    /// the first left behind.
+    units: usize,
+    retained_mb: f64,
 }
 
 impl Outcome {
-    /// Records memory after the first of `n` repeated set-up-and-run
-    /// units (batches, simulations): `rss_mb` is the peak so far, so it
-    /// does not grow with how many units fit in the run.
-    pub fn first_unit_memory(&mut self) {
-        self.set("rss_mb", procfs::status_mb("VmHWM"));
-        self.rss_after_first = procfs::status_mb("VmRSS");
+    /// Records memory after one of the repeated set-up-and-run units
+    /// (batches, simulations), given the resident memory before it.
+    /// `rss_mb` is the peak after the first unit, so it does not grow
+    /// with how many units fit in the run; each later unit adds what it
+    /// left resident. Set-up bursts between units are not counted.
+    pub fn unit_memory(&mut self, rss_before_mb: f64) {
+        if self.units == 0 {
+            self.set("rss_mb", procfs::status_mb("VmHWM"));
+        } else {
+            self.retained_mb += procfs::status_mb("VmRSS") - rss_before_mb;
+        }
+        self.units += 1;
     }
 
-    /// Records the resident memory each further unit left behind (not
-    /// for the TCP workloads, whose traced runs keep spans in memory).
-    pub fn retained_memory(&mut self, units: usize) {
-        if units > 1 {
-            let grown = procfs::status_mb("VmRSS") - self.rss_after_first;
-            self.set("mem.retained_mb_per_rerun", grown / (units - 1) as f64);
+    /// Records the resident memory each unit after the first left
+    /// behind (not for the TCP workloads, whose traced runs keep spans
+    /// in memory).
+    pub fn retained_memory(&mut self) {
+        if self.units > 1 {
+            let per_unit = self.retained_mb / (self.units - 1) as f64;
+            self.set("mem.retained_mb_per_rerun", per_unit);
         }
     }
 

@@ -12,9 +12,9 @@ use std::time::Instant;
 use mely_repro::core::prelude::*;
 use mely_repro::sfs::{FileServerConfig, FileServerService};
 
-use crate::procfs::{Class, CpuDelta, CpuSample, HostTicks};
+use crate::procfs::{self, Class, CpuDelta, CpuSample, HostTicks};
 use crate::stats::{hist_quantile, least_contended, median};
-use crate::{setup_s, threaded_layers, Args, Host, Outcome};
+use crate::{threaded_layers, Args, Host, Outcome, SetupTimes};
 
 const SESSIONS: u64 = 16;
 const READS_PER_SESSION: u64 = 1_000;
@@ -101,13 +101,14 @@ pub fn run(host: &Host, args: &Args) -> Outcome {
 
     let t0 = Instant::now();
     let mut batches = Vec::new();
+    let mut setups = SetupTimes::default();
     while batches.len() < MIN_BATCHES || t0.elapsed().as_secs_f64() < args.seconds as f64 {
+        let rss = procfs::status_mb("VmRSS");
         batches.push(batch(&mut out));
-        if batches.len() == 1 {
-            out.first_unit_memory();
-        }
+        out.unit_memory(rss);
+        setups.burst(setup);
     }
-    out.retained_memory(batches.len());
+    out.retained_memory();
     let reads = (SESSIONS * READS_PER_SESSION) as f64;
     let per_batch: Vec<String> = batches
         .iter()
@@ -157,7 +158,7 @@ pub fn run(host: &Host, args: &Args) -> Outcome {
         ]
     };
     let [rps, p50, p99, cpu] = e2e(&untraced);
-    out.set("setup_s", setup_s(setup));
+    out.set("setup_s", setups.finish(args.seconds, setup));
     out.set("rps", rps);
     out.set("p50_us", p50);
     out.set("p99_us", p99);

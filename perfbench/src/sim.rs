@@ -23,10 +23,10 @@ use mely_repro::net::driver::Driver;
 use mely_repro::net::{NetConfig, SimNet};
 use mely_repro::sws::{SwsConfig, SwsService};
 
-use crate::procfs::thread_cpu_s;
+use crate::procfs::{self, thread_cpu_s};
 use crate::stats::{hist_quantile, median, percentile, Rng};
 use crate::trace::{ServerTrace, TracedDriver};
-use crate::{setup_s, wire, Args, Host, Outcome};
+use crate::{wire, Args, Host, Outcome, SetupTimes};
 
 const GROUPS: usize = 40;
 const CLIENTS_PER_GROUP: usize = 10;
@@ -232,16 +232,17 @@ pub fn run(host: &Host, args: &Args) -> Outcome {
     let trace = Arc::new(ServerTrace::default());
     let t0 = Instant::now();
     let mut reps = Vec::new();
+    let mut setups = SetupTimes::default();
     while reps.len() < MIN_REPS || t0.elapsed().as_secs_f64() < args.seconds as f64 {
         // In a traced run, odd repetitions record at the driver hook.
         let traced = args.trace && reps.len() % 2 == 1;
         trace.on.store(traced, Ordering::Relaxed);
+        let rss = procfs::status_mb("VmRSS");
         reps.push((traced, rep(&mut out, args.seed, &trace)));
-        if reps.len() == 1 {
-            out.first_unit_memory();
-        }
+        out.unit_memory(rss);
+        setups.burst(|| setup(args.seed, &trace));
     }
-    out.retained_memory(reps.len());
+    out.retained_memory();
     trace.on.store(false, Ordering::Relaxed);
 
     let first = &reps[0].1;
@@ -283,7 +284,10 @@ pub fn run(host: &Host, args: &Args) -> Outcome {
                 .collect::<Vec<_>>(),
         )
     };
-    out.set("setup_s", setup_s(|| setup(args.seed, &trace)));
+    out.set(
+        "setup_s",
+        setups.finish(args.seconds, || setup(args.seed, &trace)),
+    );
     out.set("rps", rps);
     out.set("p50_us", p50);
     out.set("p99_us", p99);

@@ -35,7 +35,7 @@ use mely_repro::sws::{SwsConfig, SwsService};
 use crate::procfs::{self, Class, Cpu, CpuDelta, CpuSample, HostTicks, GENERATOR_COMM};
 use crate::stats::{hist_quantile, least_contended, median, percentile, Rng};
 use crate::trace::{ServerTrace, TracedDriver};
-use crate::{setup_s, wire, Args, Host, Outcome};
+use crate::{wire, Args, Host, Outcome, SetupTimes};
 
 /// Which loop the generator runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,6 +79,10 @@ pub fn run(host: &Host, args: &Args, load: Load) -> Outcome {
     let mut planned = [0usize; 2];
     let mut per_instance: Vec<Outcome> = Vec::new();
     let mut spans = Vec::new();
+    // Set-ups are timed after every server, so the memory figures cover
+    // serving only.
+    let mut setups = SetupTimes::default();
+    let setup = || start(&Arc::new(ServerTrace::default()));
     for i in 0..instances {
         let plan = Plan {
             load,
@@ -89,6 +93,7 @@ pub fn run(host: &Host, args: &Args, load: Load) -> Outcome {
         let Some(mut inst) = serve(&plan, &mut out) else {
             return out;
         };
+        setups.burst(setup);
         let rates: Vec<String> = inst
             .client
             .windows
@@ -123,11 +128,7 @@ pub fn run(host: &Host, args: &Args, load: Load) -> Outcome {
         return out;
     }
 
-    // Timed after serving, so the memory figures cover serving only.
-    out.set(
-        "setup_s",
-        setup_s(|| start(&Arc::new(ServerTrace::default()))),
-    );
+    out.set("setup_s", setups.finish(args.seconds, setup));
 
     // End-to-end: medians over the planned number of untraced
     // sub-windows, the least contended of all servers' windows.
