@@ -37,8 +37,9 @@ use sws::{SwsConfig, SwsService};
 /// Keep-alive requests per connection at every sweep point.
 const REQS_PER_CONN: u64 = 8;
 
+/// Threaded-runtime cycles to µs at the measured counter rate.
 fn cycles_to_us(c: u64) -> f64 {
-    c as f64 * 1e6 / cycles::NOMINAL_FREQ_HZ as f64
+    c as f64 * 1e6 / cycles::hz() as f64
 }
 
 struct Point {

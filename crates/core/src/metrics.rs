@@ -159,6 +159,9 @@ pub struct CoreMetrics {
     pub lock_ops: u64,
     /// Cycles spent idle (no events, no successful steal).
     pub idle_cycles: u64,
+    /// Times this core's worker parked its thread after finding no work
+    /// (threaded executor only; the simulator never parks).
+    pub parks: u64,
     /// Steal attempts initiated by this core (successful or not).
     pub steal_attempts: u64,
     /// Successful steals performed by this core.
@@ -301,6 +304,7 @@ impl CoreMetrics {
         self.lock_wait_cycles += o.lock_wait_cycles;
         self.lock_ops += o.lock_ops;
         self.idle_cycles += o.idle_cycles;
+        self.parks += o.parks;
         self.steal_attempts += o.steal_attempts;
         self.steals += o.steals;
         self.steal_cycles += o.steal_cycles;
@@ -458,9 +462,16 @@ impl RunReport {
         self.wall_cycles
     }
 
-    /// Elapsed time in seconds at the machine's nominal frequency.
+    /// Elapsed time in seconds at [`RunReport::freq_hz`].
     pub fn wall_secs(&self) -> f64 {
         self.wall_cycles as f64 / self.freq_hz as f64
+    }
+
+    /// The rate of the clock this report's cycles count: the machine
+    /// model's frequency under simulation, the measured cycle-counter
+    /// rate ([`crate::cycles::hz`]) under the threaded executor.
+    pub fn freq_hz(&self) -> u64 {
+        self.freq_hz
     }
 
     /// The workstealing policy the run used.

@@ -147,6 +147,9 @@ pub struct SimRuntime {
     /// the per-tier counters; the policy reads it through
     /// [`StealContext`]).
     domains: StealDomains,
+    /// Load and victim lists reused by every steal attempt.
+    steal_loads: Vec<usize>,
+    steal_victims: Vec<usize>,
     cores: Vec<SimCore>,
     /// Current owner core per color (`u32::MAX` = unassigned).
     color_owner: Vec<u32>,
@@ -224,6 +227,8 @@ impl SimRuntime {
         let mut rt = SimRuntime {
             cfg,
             domains,
+            steal_loads: Vec::new(),
+            steal_victims: Vec::new(),
             cores,
             color_owner: vec![u32::MAX; COLOR_SPACE],
             registry: HandlerRegistry::new(),
@@ -805,9 +810,12 @@ impl SimRuntime {
         // profiling of "the time it takes to steal one single event".
         self.attempt_wait = 0;
 
-        let loads: Vec<usize> = self.cores.iter().map(|x| x.queue.len()).collect();
+        let mut loads = std::mem::take(&mut self.steal_loads);
+        loads.clear();
+        loads.extend(self.cores.iter().map(|x| x.queue.len()));
+        let mut set = std::mem::take(&mut self.steal_victims);
         let policy = Arc::clone(&self.cfg.steal_policy);
-        let mut set = policy.victims(
+        policy.victims_into(
             c,
             &loads,
             &StealContext {
@@ -815,13 +823,38 @@ impl SimRuntime {
                 machine: &self.cfg.machine,
                 domains: &self.domains,
             },
+            &mut set,
         );
+        self.steal_loads = loads;
         if let Some(rng) = self.perturb_rng(|p| p.shuffle_victims) {
             // Perturbed victim choice: visit candidates in a shuffled
             // order instead of the policy's canonical one.
             rng.shuffle(&mut set);
         }
-        for v in set {
+        let stolen = self.steal_from_first(c, &set, &policy, t_start);
+        self.steal_victims = set;
+        if stolen {
+            return true;
+        }
+        // Nothing stealable anywhere: pause before retrying.
+        self.cores[c].clock += costs.idle_recheck;
+        let wasted = self.cores[c].clock - t_start;
+        let m = &mut self.cores[c].metrics;
+        m.failed_steal_cycles += wasted;
+        m.idle_cycles += wasted;
+        false
+    }
+
+    /// Probes `set` in order and steals from the first victim that
+    /// yields, recording the steal. Returns whether one did.
+    fn steal_from_first(
+        &mut self,
+        c: usize,
+        set: &[usize],
+        policy: &Arc<dyn StealPolicy>,
+        t_start: u64,
+    ) -> bool {
+        for &v in set {
             if v == c || v >= self.cores.len() {
                 continue;
             }
@@ -870,12 +903,6 @@ impl SimRuntime {
                 return true;
             }
         }
-        // Nothing stealable anywhere: pause before retrying.
-        self.cores[c].clock += costs.idle_recheck;
-        let wasted = self.cores[c].clock - t_start;
-        let m = &mut self.cores[c].metrics;
-        m.failed_steal_cycles += wasted;
-        m.idle_cycles += wasted;
         false
     }
 

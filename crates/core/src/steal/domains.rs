@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use mely_topology::MachineModel;
 
-use super::{construct_core_set, construct_core_set_base, construct_core_set_locality, WsPolicy};
+use super::{construct_core_set_base_into, WsPolicy};
 
 /// How far a steal reaches, nearest first. The order of the variants
 /// is the escalation order: `Smt < Llc < Socket < Remote`.
@@ -114,6 +114,10 @@ pub struct StealDomains {
     /// Per thief: the flattened tier order (a permutation of all other
     /// running cores).
     order: Vec<Vec<usize>>,
+    /// Per thief: every other core of the *machine* by cache distance
+    /// ([`MachineModel::victims_by_distance`]), kept so the
+    /// locality-aware order costs no allocation per steal attempt.
+    by_distance: Vec<Vec<usize>>,
     /// Running cores grouped by machine socket (only non-empty groups,
     /// in socket order).
     sockets: Vec<Vec<usize>>,
@@ -170,6 +174,7 @@ impl StealDomains {
             tier,
             tiers,
             order,
+            by_distance: (0..cores).map(|a| machine.victims_by_distance(a)).collect(),
             sockets,
         }
     }
@@ -202,6 +207,14 @@ impl StealDomains {
     /// `0..num_cores` minus `thief`).
     pub fn victims(&self, thief: usize) -> &[usize] {
         &self.order[thief]
+    }
+
+    /// Every other core of the machine by cache distance from `thief`,
+    /// ties by id: the locality-aware `construct_core_set`
+    /// (Section III-A). Unlike [`StealDomains::victims`] this may name
+    /// cores beyond the running ones; executors skip those.
+    pub(crate) fn victims_by_distance(&self, thief: usize) -> &[usize] {
+        &self.by_distance[thief]
     }
 
     /// Number of sockets that have at least one running core.
@@ -239,10 +252,26 @@ pub trait StealPolicy: fmt::Debug + Send + Sync {
     /// Short label used by reports, benches and ablation tables.
     fn name(&self) -> &'static str;
 
-    /// The victims `thief` should probe, in order. `loads` holds one
-    /// pending-work estimate per running core (the thief's own entry
-    /// included); executors skip victims whose load is zero.
-    fn victims(&self, thief: usize, loads: &[usize], ctx: &StealContext<'_>) -> Vec<usize>;
+    /// Writes the victims `thief` should probe, in order, into `out`
+    /// (which it clears first). `loads` holds one pending-work estimate
+    /// per running core (the thief's own entry included); executors
+    /// skip victims whose load is zero. The caller owns and reuses
+    /// `out`, so a warm steal attempt does not allocate.
+    fn victims_into(
+        &self,
+        thief: usize,
+        loads: &[usize],
+        ctx: &StealContext<'_>,
+        out: &mut Vec<usize>,
+    );
+
+    /// The victims `thief` should probe, in order, in a fresh vector
+    /// (see [`StealPolicy::victims_into`]).
+    fn victims(&self, thief: usize, loads: &[usize], ctx: &StealContext<'_>) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.victims_into(thief, loads, ctx, &mut out);
+        out
+    }
 
     /// Maximum number of color queues one successful attempt against
     /// `victim` may take. The default is the classic single-color
@@ -265,8 +294,18 @@ impl StealPolicy for FlatPolicy {
         "flat"
     }
 
-    fn victims(&self, thief: usize, loads: &[usize], ctx: &StealContext<'_>) -> Vec<usize> {
-        construct_core_set(ctx.ws, thief, loads, ctx.machine)
+    fn victims_into(
+        &self,
+        thief: usize,
+        loads: &[usize],
+        ctx: &StealContext<'_>,
+        out: &mut Vec<usize>,
+    ) {
+        if ctx.ws.locality {
+            PaperImprovedPolicy.victims_into(thief, loads, ctx, out);
+        } else {
+            construct_core_set_base_into(thief, loads, out);
+        }
     }
 }
 
@@ -281,8 +320,14 @@ impl StealPolicy for PaperBasePolicy {
         "paper-base"
     }
 
-    fn victims(&self, thief: usize, loads: &[usize], _ctx: &StealContext<'_>) -> Vec<usize> {
-        construct_core_set_base(thief, loads)
+    fn victims_into(
+        &self,
+        thief: usize,
+        loads: &[usize],
+        _ctx: &StealContext<'_>,
+        out: &mut Vec<usize>,
+    ) {
+        construct_core_set_base_into(thief, loads, out);
     }
 }
 
@@ -297,8 +342,15 @@ impl StealPolicy for PaperImprovedPolicy {
         "paper-improved"
     }
 
-    fn victims(&self, thief: usize, _loads: &[usize], ctx: &StealContext<'_>) -> Vec<usize> {
-        construct_core_set_locality(thief, ctx.machine)
+    fn victims_into(
+        &self,
+        thief: usize,
+        _loads: &[usize],
+        ctx: &StealContext<'_>,
+        out: &mut Vec<usize>,
+    ) {
+        out.clear();
+        out.extend_from_slice(ctx.domains.victims_by_distance(thief));
     }
 }
 
@@ -316,17 +368,24 @@ impl StealPolicy for HierarchicalPolicy {
         "hierarchical"
     }
 
-    fn victims(&self, thief: usize, loads: &[usize], ctx: &StealContext<'_>) -> Vec<usize> {
-        let mut out = Vec::with_capacity(ctx.domains.num_cores().saturating_sub(1));
+    fn victims_into(
+        &self,
+        thief: usize,
+        loads: &[usize],
+        ctx: &StealContext<'_>,
+        out: &mut Vec<usize>,
+    ) {
+        out.clear();
         for (_, members) in ctx.domains.tiers(thief) {
-            let mut members = members.clone();
+            let start = out.len();
+            out.extend_from_slice(members);
             // Busiest first within the tier; ties to the lowest id so
             // the order (and therefore any replayed schedule) is a
-            // deterministic function of the loads.
-            members.sort_by_key(|&v| (Reverse(loads.get(v).copied().unwrap_or(0)), v));
-            out.extend(members);
+            // deterministic function of the loads. The keys are unique,
+            // so the in-place unstable sort gives the stable order.
+            out[start..]
+                .sort_unstable_by_key(|&v| (Reverse(loads.get(v).copied().unwrap_or(0)), v));
         }
-        out
     }
 
     fn steal_budget(&self, thief: usize, victim: usize, ctx: &StealContext<'_>) -> usize {
@@ -351,6 +410,7 @@ pub fn default_steal_policy(machine: &MachineModel) -> Arc<dyn StealPolicy> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::steal::{construct_core_set, construct_core_set_base};
 
     fn dual_socket() -> MachineModel {
         MachineModel::from_spec("2s×4c×2t/llc=8").unwrap()

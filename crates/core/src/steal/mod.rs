@@ -141,9 +141,18 @@ impl Default for WsPolicy {
 /// injection-inbox backlog, so externally injected work attracts thieves
 /// even before the owning core has drained it into its queue.
 pub fn construct_core_set_base(thief: usize, loads: &[usize]) -> Vec<usize> {
+    let mut out = Vec::new();
+    construct_core_set_base_into(thief, loads, &mut out);
+    out
+}
+
+/// [`construct_core_set_base`] into a caller-provided buffer (cleared
+/// first), so a warm steal attempt does not allocate.
+pub(crate) fn construct_core_set_base_into(thief: usize, loads: &[usize], out: &mut Vec<usize>) {
+    out.clear();
     let n = loads.len();
     if n <= 1 {
-        return Vec::new();
+        return;
     }
     let busiest = loads
         .iter()
@@ -151,10 +160,7 @@ pub fn construct_core_set_base(thief: usize, loads: &[usize]) -> Vec<usize> {
         .max_by_key(|&(i, &l)| (l, std::cmp::Reverse(i)))
         .map(|(i, _)| i)
         .unwrap_or(0);
-    (0..n)
-        .map(|k| (busiest + k) % n)
-        .filter(|&c| c != thief)
-        .collect()
+    out.extend((0..n).map(|k| (busiest + k) % n).filter(|&c| c != thief));
 }
 
 /// The locality-aware `construct_core_set` (Section III-A): victims

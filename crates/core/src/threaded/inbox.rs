@@ -259,9 +259,15 @@ impl InjectionInbox {
         loop {
             // SAFETY: `node` is uniquely owned until the CAS publishes it.
             unsafe { (*node).next.store(head, Ordering::Relaxed) };
+            // SeqCst publication pairs with the owner's SeqCst
+            // `has_pending` check after it announces that it is going to
+            // park: either the owner sees this event, or the producer's
+            // following `sleepers` load sees the owner (see the parking
+            // protocol in the parent module). Same instruction as
+            // Release on x86-64.
             match self
                 .head
-                .compare_exchange_weak(head, node, Ordering::Release, Ordering::Relaxed)
+                .compare_exchange_weak(head, node, Ordering::SeqCst, Ordering::Relaxed)
             {
                 Ok(_) => break,
                 Err(cur) => {
@@ -302,9 +308,9 @@ impl InjectionInbox {
         n
     }
 
-    /// [`InjectionInbox::drain_into`] into a fresh vector. Convenient
-    /// for steal-time rescue drains and tests; the worker dispatch loop
-    /// uses `drain_into` with a reused buffer instead.
+    /// [`InjectionInbox::drain_into`] into a fresh vector, for tests
+    /// and teardown; the worker loop and steals use `drain_into` with
+    /// reused buffers instead.
     pub fn drain(&self) -> Vec<Event> {
         let mut batch = Vec::new();
         self.drain_into(&mut batch);
@@ -321,6 +327,12 @@ impl InjectionInbox {
     /// Whether nothing is buffered (approximate under concurrency).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Whether a published event is waiting: a SeqCst read of the head
+    /// itself, not the approximate `len`, for the parking re-check.
+    pub(crate) fn has_pending(&self) -> bool {
+        !self.head.load(Ordering::SeqCst).is_null()
     }
 
     /// Total events ever pushed into this inbox.

@@ -41,13 +41,42 @@
 //!   its Treiber nodes, each worker reuses one drain buffer across
 //!   iterations, and the Mely queue pools freed color-queue buffers
 //!   (surfaced as the `inbox_node_reuse` / `queue_buf_reuse` counters
-//!   in [`CoreMetrics`]).
+//!   in [`CoreMetrics`]). Steal attempts reuse per-worker load and
+//!   victim buffers that the [`StealPolicy`] writes into.
+//!
+//! # The idle path: steal, spin, park
+//!
+//! A worker that finds its inbox and queue empty tries to steal; when
+//! that fails it spins for a fixed number of iterations (each one
+//! another pop and steal attempt), then parks its thread with
+//! `std::thread::park`, until the earliest pending timer is due if
+//! there is one. It does not poll: a parked worker wakes only when
+//!
+//! - a producer pushes onto its inbox (injection, timer firings);
+//! - a locked `route` (a handler's registration, an inbox re-route, a
+//!   steal's rescue of the victim's inbox) pushes onto its queue;
+//! - another core's queue holds a stealable backlog (≥ 2 queued) after
+//!   a push or an inbox merge — one sleeping thief is woken;
+//! - a newly registered timer is due before its deadline;
+//! - the runtime is asked to stop;
+//! - the last outstanding event or `KeepAlive` goes away, so it can
+//!   exit.
+//!
+//! Each parked worker is counted in `sleepers`, so while every worker
+//! is awake a producer's wake-up check is a single load. The worker
+//! announces itself before it re-checks its wake conditions, and each
+//! producer publishes before it reads the announcement, with the
+//! orderings paired per condition (see `sleep_deadline`): either the
+//! worker sees the work, or the producer sees the worker. Parks are
+//! counted in [`CoreMetrics::parks`].
 
 pub mod inbox;
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -83,6 +112,12 @@ const KEEPALIVE_UNIT: u64 = 1 << 48;
 /// Mask selecting the pending-event count from `Shared::outstanding`.
 const EVENT_MASK: u64 = KEEPALIVE_UNIT - 1;
 
+/// Idle iterations (each a failed pop and, with workstealing on, a
+/// failed steal attempt) a worker spins through before it parks. Short
+/// enough that an idle runtime leaves the CPU to its I/O threads, long
+/// enough that back-to-back events skip the futex round trip.
+const SPINS_BEFORE_PARK: u32 = 64;
+
 struct CoreShared {
     queue: SpinLock<QueueImpl>,
     /// Lock-free MPSC inbox for cross-thread producers; drained by this
@@ -92,6 +127,15 @@ struct CoreShared {
     in_flight: AtomicU32,
     /// Approximate queue length for `construct_core_set`.
     len_hint: AtomicUsize,
+    /// Set while this core's worker is parked or committed to parking.
+    /// Whoever swaps it back to `false` owes the worker an `unpark`.
+    sleeping: AtomicBool,
+    /// The timer due time (cycles) the parked worker wakes for by
+    /// itself; `u64::MAX` when it sleeps with no timer pending. Written
+    /// and read under the timer heap's lock.
+    deadline: AtomicU64,
+    /// This core's worker thread during a run, the target of `unpark`.
+    thread: Mutex<Option<Thread>>,
 }
 
 impl CoreShared {
@@ -147,6 +191,11 @@ struct Shared {
     /// [`KEEPALIVE_UNIT`]s. Workers run while any bit is set.
     outstanding: AtomicU64,
     stop: AtomicBool,
+    /// Workers parked or committed to parking. Lets every producer skip
+    /// the wake-up path with a single load while all workers are awake.
+    sleepers: AtomicUsize,
+    /// Workers past their re-check, in (or entering) `park`.
+    parked: AtomicUsize,
     steal_est: AtomicU64,
     next_seq: AtomicU64,
     timers: Mutex<std::collections::BinaryHeap<TimerEntry>>,
@@ -215,7 +264,15 @@ impl Shared {
             // Re-check under the lock: a steal may have moved the color.
             if self.color_owner[slot].load(Ordering::Acquire) == owner {
                 q.push(ev);
-                core.len_hint.store(q.len(), Ordering::Relaxed);
+                let queued = q.len();
+                core.len_hint.store(queued, Ordering::Relaxed);
+                // Read under the lock that a parking owner re-checks its
+                // queue under: either it saw this push, or we see it.
+                let sleepy = self.sleepy();
+                drop(q);
+                if sleepy {
+                    self.wake_for_queue(owner as usize, queued);
+                }
                 return;
             }
         }
@@ -227,8 +284,75 @@ impl Shared {
     /// invariant holds either way.
     fn inject(&self, mut ev: Event) {
         self.prepare(&mut ev);
-        let owner = self.owner_of(&ev);
-        self.cores[owner as usize].inbox.push(ev);
+        let owner = self.owner_of(&ev) as usize;
+        self.cores[owner].inbox.push(ev);
+        self.wake_for_inbox(owner);
+    }
+
+    /// Whether any worker is parked or committed to parking. SeqCst so
+    /// that it pairs with a parking worker's announcement: a producer
+    /// that published work before this load either is seen by the
+    /// worker's re-check or sees the worker here.
+    fn sleepy(&self) -> bool {
+        self.sleepers.load(Ordering::SeqCst) != 0
+    }
+
+    /// Unparks `core`'s worker if it is parked or about to park;
+    /// returns whether it was.
+    fn unpark(&self, core: usize) -> bool {
+        let c = &self.cores[core];
+        if !(c.sleeping.load(Ordering::SeqCst) && c.sleeping.swap(false, Ordering::SeqCst)) {
+            return false;
+        }
+        if let Some(t) = c.thread.lock().as_ref() {
+            t.unpark();
+        }
+        true
+    }
+
+    /// Unparks one sleeping worker other than `except`, to come and
+    /// steal.
+    fn wake_thief(&self, except: usize) {
+        let _ = (0..self.cores.len()).any(|c| c != except && self.unpark(c));
+    }
+
+    /// Unparks every sleeping worker (shutdown: stop, or nothing left
+    /// to wait for).
+    fn wake_all(&self) {
+        for c in 0..self.cores.len() {
+            self.unpark(c);
+        }
+    }
+
+    /// After a push onto `core`'s inbox: one load when nobody sleeps.
+    fn wake_for_inbox(&self, core: usize) {
+        if self.sleepy() {
+            self.unpark(core);
+        }
+    }
+
+    /// After a push left `queued` events in `core`'s queue, with
+    /// `sleepy` read under that queue's lock: wake its worker, and one
+    /// thief when the backlog is stealable.
+    fn wake_for_queue(&self, core: usize, queued: usize) {
+        self.unpark(core);
+        if queued >= 2 {
+            self.wake_thief(core);
+        }
+    }
+
+    /// Sets the stop flag and wakes every parked worker to see it.
+    fn request_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.wake_all();
+    }
+
+    /// Retires `units` from `outstanding`; when that empties it, parked
+    /// workers wake to exit.
+    fn retire(&self, units: u64) {
+        if self.outstanding.fetch_sub(units, Ordering::SeqCst) == units {
+            self.wake_all();
+        }
     }
 
     fn register(&self, ev: Event) {
@@ -322,7 +446,36 @@ impl Shared {
         self.outstanding.fetch_add(1, Ordering::AcqRel);
         let due = cycles::now() + delay;
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        self.timers.lock().push(TimerEntry { due, seq, event });
+        let wake = {
+            let mut timers = self.timers.lock();
+            timers.push(TimerEntry { due, seq, event });
+            // Under the heap's lock, which a parking worker reads its
+            // deadline under: either it saw this timer, or we see it.
+            if self.sleepy() {
+                self.timer_sleeper(due)
+            } else {
+                None
+            }
+        };
+        if let Some(core) = wake {
+            self.unpark(core);
+        }
+    }
+
+    /// A sleeping worker to wake for a new timer due at `due`, or `None`
+    /// when some sleeper's own deadline already comes by then (it will
+    /// fire this timer and re-arm from the heap).
+    fn timer_sleeper(&self, due: u64) -> Option<usize> {
+        let mut pick = None;
+        for (i, c) in self.cores.iter().enumerate() {
+            if c.sleeping.load(Ordering::SeqCst) {
+                if c.deadline.load(Ordering::Relaxed) <= due {
+                    return None;
+                }
+                pick = Some(i);
+            }
+        }
+        pick
     }
 }
 
@@ -494,7 +647,15 @@ impl RuntimeHandle {
 
     /// Asks every worker to stop at the next opportunity.
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::Release);
+        self.shared.request_stop();
+    }
+
+    /// Workers that passed their last re-check and are parked (or
+    /// just entering `park`): a live snapshot of the idle path (see the
+    /// module docs). From here on only an `unpark` or a timer deadline
+    /// wakes them.
+    pub fn sleeping_workers(&self) -> usize {
+        self.shared.parked.load(Ordering::SeqCst)
     }
 
     /// Events registered but not yet executed.
@@ -512,11 +673,7 @@ impl RuntimeHandle {
             .outstanding
             .fetch_add(KEEPALIVE_UNIT, Ordering::AcqRel);
         let shared = Arc::clone(&self.shared);
-        KeepAlive::new(move || {
-            shared
-                .outstanding
-                .fetch_sub(KEEPALIVE_UNIT, Ordering::AcqRel);
-        })
+        KeepAlive::new(move || shared.retire(KEEPALIVE_UNIT))
     }
 
     /// Blocks until every registered event has executed (only
@@ -578,6 +735,9 @@ impl ThreadedRuntime {
                 inbox: InjectionInbox::new(),
                 in_flight: AtomicU32::new(NO_COLOR),
                 len_hint: AtomicUsize::new(0),
+                sleeping: AtomicBool::new(false),
+                deadline: AtomicU64::new(u64::MAX),
+                thread: Mutex::new(None),
             })
             .collect();
         let mut owners = Vec::with_capacity(COLOR_SPACE);
@@ -595,6 +755,8 @@ impl ThreadedRuntime {
                 batch_threshold,
                 outstanding: AtomicU64::new(0),
                 stop: AtomicBool::new(false),
+                sleepers: AtomicUsize::new(0),
+                parked: AtomicUsize::new(0),
                 steal_est: AtomicU64::new(initial_steal_estimate),
                 next_seq: AtomicU64::new(0),
                 timers: Mutex::new(std::collections::BinaryHeap::new()),
@@ -695,7 +857,7 @@ impl ThreadedRuntime {
                             // A dying worker must release its siblings:
                             // they wait on outstanding work this worker
                             // can no longer execute.
-                            shared.stop.store(true, Ordering::Release);
+                            shared.request_stop();
                         }
                         match out {
                             Ok(m) => m,
@@ -749,7 +911,7 @@ impl ThreadedRuntime {
         let wall = cycles::now().wrapping_sub(start);
         // Consume any stop request so a later `run` proceeds normally.
         self.shared.stop.store(false, Ordering::Release);
-        let report = RunReport::new(per_core, wall, cycles::NOMINAL_FREQ_HZ, self.shared.ws)
+        let report = RunReport::new(per_core, wall, cycles::hz(), self.shared.ws)
             .with_fault_log(self.shared.faults.log_snapshot());
         if let Some(payload) = worker_payload {
             if self.shared.faults.policy == FaultPolicy::Abort {
@@ -808,9 +970,22 @@ impl Executor for ThreadedRuntime {
     }
 }
 
+/// Per-worker buffers for the idle path, reused across steal attempts
+/// so a warm attempt never allocates.
+#[derive(Default)]
+struct StealScratch {
+    /// Every core's load estimate.
+    loads: Vec<usize>,
+    /// The policy's victim order.
+    victims: Vec<usize>,
+    /// A victim's inbox backlog rescued during a steal.
+    backlog: Vec<Event>,
+}
+
 fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
     let mut m = CoreMetrics::default();
     let batch = shared.batch_threshold;
+    *shared.cores[me].thread.lock() = Some(std::thread::current());
     // Seeded fault injection: each worker derives its own draw stream
     // from the plan's seed, so injection stays reproducible per worker
     // even though cross-worker interleaving is not.
@@ -819,6 +994,7 @@ fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
     // Reused across iterations so steady-state inbox drains never
     // allocate (the inbox recycles its nodes; this recycles the batch).
     let mut inbox_batch: Vec<Event> = Vec::new();
+    let mut scratch = StealScratch::default();
     loop {
         if shared.stop.load(Ordering::Acquire) {
             break;
@@ -846,27 +1022,91 @@ fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
             shared.cores[me]
                 .in_flight
                 .store(NO_COLOR, Ordering::Release);
-            shared.outstanding.fetch_sub(1, Ordering::AcqRel);
+            shared.retire(1);
             idle_spins = 0;
             continue;
         }
 
-        // Idle: steal or wind down.
-        if shared.ws.enabled && try_steal(shared, me, &mut m) {
+        // Idle: steal, spin a little, then park.
+        if shared.ws.enabled && try_steal(shared, me, &mut m, &mut scratch) {
             idle_spins = 0;
             continue;
         }
         if shared.outstanding.load(Ordering::Acquire) == 0 {
             break;
         }
-        idle_spins = idle_spins.saturating_add(1);
-        if idle_spins > 64 {
-            std::thread::yield_now();
-        } else {
+        idle_spins += 1;
+        if idle_spins < SPINS_BEFORE_PARK {
             std::hint::spin_loop();
+        } else {
+            park(shared, me, &mut m);
+            idle_spins = 0;
         }
     }
     m
+}
+
+/// Parks `me` until a producer, its earliest timer or shutdown wakes
+/// it. The worker announces itself first (`sleeping`, `sleepers`) and
+/// only then re-checks every wake condition, so each producer either
+/// published before the re-check (and the worker sees the work) or
+/// loads `sleepers` after the announcement (and unparks the worker);
+/// see [`sleep_deadline`] for how each condition pairs up.
+fn park(shared: &Shared, me: usize, m: &mut CoreMetrics) {
+    let core = &shared.cores[me];
+    core.sleeping.store(true, Ordering::SeqCst);
+    shared.sleepers.fetch_add(1, Ordering::SeqCst);
+    if let Some(deadline) = sleep_deadline(shared, me) {
+        m.parks += 1;
+        shared.parked.fetch_add(1, Ordering::SeqCst);
+        if deadline == u64::MAX {
+            std::thread::park();
+        } else {
+            let left = deadline.saturating_sub(cycles::now());
+            std::thread::park_timeout(Duration::from_nanos(cycles::to_ns(left)));
+        }
+        shared.parked.fetch_sub(1, Ordering::SeqCst);
+    }
+    core.sleeping.store(false, Ordering::SeqCst);
+    shared.sleepers.fetch_sub(1, Ordering::SeqCst);
+}
+
+/// The re-check a parking worker makes after announcing itself: `None`
+/// when something already waits for it, else the cycle time of the
+/// earliest pending timer (`u64::MAX` when there is none).
+///
+/// - `stop` and `outstanding` are SeqCst on both sides (the store or
+///   read-modify-write, then the waker's SeqCst read of `sleeping`);
+/// - the inbox head is published by a SeqCst CAS that the producer
+///   follows with a SeqCst read of `sleepers`;
+/// - the queue is checked under its own lock, under which routing
+///   producers read `sleepers`;
+/// - the timer heap is read under its lock, under which
+///   `register_after` compares its due time with sleepers' deadlines.
+///
+/// Stealable backlogs on other cores are deliberately not re-checked:
+/// the worker has just failed to steal, and a backlog it cannot steal
+/// (one color, in flight) would otherwise keep it spinning. A push
+/// that makes a backlog stealable wakes a sleeper instead.
+fn sleep_deadline(shared: &Shared, me: usize) -> Option<u64> {
+    let core = &shared.cores[me];
+    if shared.stop.load(Ordering::SeqCst)
+        || shared.outstanding.load(Ordering::SeqCst) == 0
+        || core.inbox.has_pending()
+    {
+        return None;
+    }
+    // A busy lock means a producer or a thief is at work here: skip.
+    if core.queue.try_lock().is_none_or(|q| !q.is_empty()) {
+        return None;
+    }
+    let timers = shared.timers.lock();
+    let due = timers.peek().map_or(u64::MAX, |t| t.due);
+    if due <= cycles::now() {
+        return None;
+    }
+    core.deadline.store(due, Ordering::Relaxed);
+    Some(due)
 }
 
 fn drain_timers(shared: &Shared) {
@@ -899,7 +1139,7 @@ fn drain_inbox(shared: &Shared, me: usize, batch: &mut Vec<Event>, m: &mut CoreM
     m.inbox_drain_batches += 1;
     m.inbox_drained += batch.len() as u64;
     let mut strays = Vec::new();
-    {
+    let (queued, sleepy) = {
         let mut q = core.queue.lock();
         m.lock_wait_cycles += q.waited_cycles();
         m.lock_ops += 1;
@@ -915,6 +1155,10 @@ fn drain_inbox(shared: &Shared, me: usize, batch: &mut Vec<Event>, m: &mut CoreM
             }
         }
         core.len_hint.store(q.len(), Ordering::Relaxed);
+        (q.len(), shared.sleepy())
+    };
+    if sleepy && queued >= 2 {
+        shared.wake_thief(me);
     }
     // Stolen-away colors take the locked routing path (with its own
     // owner re-check loop); they are rare — one steal must have raced
@@ -1044,26 +1288,32 @@ fn execute_event(
         shared.register(ev2);
     }
     if fx.stop {
-        shared.stop.store(true, Ordering::Release);
+        shared.request_stop();
     }
 }
 
 /// One steal attempt (both queue flavors). Migration happens with the
 /// victim's and the thief's locks both held, in core-id order.
-fn try_steal(shared: &Shared, me: usize, m: &mut CoreMetrics) -> bool {
+fn try_steal(shared: &Shared, me: usize, m: &mut CoreMetrics, scratch: &mut StealScratch) -> bool {
     m.steal_attempts += 1;
     let t0 = cycles::now();
     // Loads include each core's inbox backlog: work a producer has
     // pushed but the owner has not drained yet is still pending work,
     // and `construct_core_set` must see it.
-    let loads: Vec<usize> = shared.cores.iter().map(|c| c.load_estimate()).collect();
+    scratch.loads.clear();
+    scratch
+        .loads
+        .extend(shared.cores.iter().map(|c| c.load_estimate()));
     let ctx = StealContext {
         ws: shared.ws,
         machine: &shared.machine,
         domains: &shared.domains,
     };
-    let set = shared.policy.victims(me, &loads, &ctx);
-    for v in set {
+    shared
+        .policy
+        .victims_into(me, &scratch.loads, &ctx, &mut scratch.victims);
+    for i in 0..scratch.victims.len() {
+        let v = scratch.victims[i];
         if v == me || v >= shared.cores.len() {
             continue;
         }
@@ -1073,7 +1323,7 @@ fn try_steal(shared: &Shared, me: usize, m: &mut CoreMetrics) -> bool {
             continue;
         }
         let budget = shared.policy.steal_budget(me, v, &ctx).max(1);
-        if steal_from(shared, me, v, budget, m) {
+        if steal_from(shared, me, v, budget, m, &mut scratch.backlog) {
             let dur = cycles::now().wrapping_sub(t0);
             m.steals += 1;
             m.steal_cycles += dur;
@@ -1097,7 +1347,14 @@ fn update_estimate(shared: &Shared, sample: u64) {
     shared.steal_est.store(next, Ordering::Relaxed);
 }
 
-fn steal_from(shared: &Shared, me: usize, v: usize, budget: usize, m: &mut CoreMetrics) -> bool {
+fn steal_from(
+    shared: &Shared,
+    me: usize,
+    v: usize,
+    budget: usize,
+    m: &mut CoreMetrics,
+    backlog: &mut Vec<Event>,
+) -> bool {
     debug_assert_ne!(me, v);
     let (a, b) = if v < me { (v, me) } else { (me, v) };
     let ga = shared.cores[a].queue.lock();
@@ -1175,11 +1432,11 @@ fn steal_from(shared: &Shared, me: usize, v: usize, budget: usize, m: &mut CoreM
     // order. Draining concurrently with the victim is safe (each node is
     // taken by exactly one swap); placement re-checks the color map
     // under the locks we hold.
-    let backlog = shared.cores[v].inbox.drain();
-    if !backlog.is_empty() {
+    let mut victim_fed = false;
+    if shared.cores[v].inbox.drain_into(backlog) > 0 {
         m.inbox_drain_batches += 1;
         m.inbox_drained += backlog.len() as u64;
-        for ev in backlog {
+        for ev in backlog.drain(..) {
             let slot = ev.color().value() as usize;
             let owner = shared.color_owner[slot].load(Ordering::Acquire);
             if owner == me as u32 {
@@ -1188,23 +1445,33 @@ fn steal_from(shared: &Shared, me: usize, v: usize, budget: usize, m: &mut CoreM
                 gm.push(ev);
             } else if owner == v as u32 {
                 gv.push(ev);
+                victim_fed = true;
             } else if (owner as usize) < shared.cores.len() {
                 // A third core owns it (an earlier racing steal); hand
                 // the event to that core's inbox.
                 m.inbox_rerouted += 1;
                 shared.cores[owner as usize].inbox.push(ev);
+                shared.wake_for_inbox(owner as usize);
             } else {
                 // Unclaimed colors cannot normally reach an inbox
                 // (inject claims an owner before pushing); keep the
                 // event with the victim and claim the color for it.
                 shared.color_owner[slot].store(v as u32, Ordering::Release);
                 gv.push(ev);
+                victim_fed = true;
             }
         }
     }
 
     shared.cores[v].len_hint.store(gv.len(), Ordering::Relaxed);
     shared.cores[me].len_hint.store(gm.len(), Ordering::Relaxed);
+    // Under the victim's lock, like any routing producer: a victim that
+    // parked on an empty queue must wake for the rescued events.
+    let victim_sleepy = victim_fed && shared.sleepy();
+    drop((gv, gm));
+    if victim_sleepy {
+        shared.unpark(v);
+    }
     true
 }
 

@@ -21,6 +21,12 @@
 //! just a `u64` cycle count — virtual cycles under the simulator, the
 //! cycle counter under the threaded executor.
 //!
+//! One [`TxSignal`] per network tells a real-socket front-end that the
+//! server has output for it: server-side `write` and `close` mark it,
+//! the server fires it when it has nothing left in flight, and the
+//! front-end takes it before it moves responses (see
+//! [`tcp`]).
+//!
 //! # Examples
 //!
 //! ```
@@ -42,6 +48,10 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 pub mod driver;
 pub mod inject;
@@ -135,10 +145,89 @@ struct Conn {
     hup_reported: bool,
 }
 
+/// A notifier installed on a [`TxSignal`].
+pub(crate) type TxNotifier = Arc<dyn Fn() + Send + Sync>;
+
+/// The "server output is waiting" bit of one [`SimNet`], with an
+/// optional notifier for whoever moves that output to real clients.
+///
+/// - [`SimNet::write`] and [`SimNet::close`] **mark** it;
+/// - the server **fires** it ([`TxSignal::fire`]) when it has nothing
+///   left in flight, which runs the notifier if output is marked;
+/// - the consumer **takes** it (`take`) and then reads the
+///   server's output under the network's lock.
+///
+/// Marking happens under the network's lock and the consumer reads
+/// under it after taking, so no output is stranded: a write the
+/// consumer's read missed marks the bit again after the take.
+#[derive(Default)]
+pub struct TxSignal {
+    pending: AtomicBool,
+    notifier: Mutex<Option<TxNotifier>>,
+}
+
+impl TxSignal {
+    /// Marks server output pending.
+    pub(crate) fn mark(&self) {
+        // Skip the store while already marked: at full load this keeps
+        // the bit's cache line shared between writers. A stale `true`
+        // is harmless — the take it hides is followed by a read under
+        // the network lock, after this write's critical section.
+        if !self.pending.load(Ordering::Relaxed) {
+            self.pending.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Whether output is marked.
+    fn is_pending(&self) -> bool {
+        self.pending.load(Ordering::SeqCst)
+    }
+
+    /// Consumes the mark; returns whether it was set.
+    pub(crate) fn take(&self) -> bool {
+        self.is_pending() && self.pending.swap(false, Ordering::SeqCst)
+    }
+
+    /// The server went idle: if output is marked, runs the notifier.
+    pub fn fire(&self) {
+        if self.is_pending() {
+            let notifier = self.notifier.lock().clone();
+            if let Some(notify) = notifier {
+                notify();
+            }
+        }
+    }
+
+    /// Installs the notifier [`TxSignal::fire`] runs (replacing any
+    /// earlier one).
+    pub(crate) fn set_notifier(&self, notify: TxNotifier) {
+        *self.notifier.lock() = Some(notify);
+    }
+
+    /// Removes `notify` if it is still the installed notifier.
+    pub(crate) fn clear_notifier(&self, notify: &TxNotifier) {
+        let mut slot = self.notifier.lock();
+        if slot.as_ref().is_some_and(|n| Arc::ptr_eq(n, notify)) {
+            *slot = None;
+        }
+    }
+}
+
+impl fmt::Debug for TxSignal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TxSignal")
+            .field("pending", &self.is_pending())
+            .field("notifier", &self.notifier.lock().is_some())
+            .finish()
+    }
+}
+
 /// The simulated network fabric.
 #[derive(Debug, Default)]
 pub struct SimNet {
     cfg: NetConfig,
+    /// Marked by server-side writes and closes (see [`TxSignal`]).
+    tx: Arc<TxSignal>,
     listeners: BTreeMap<u16, VecDeque<(u64, Fd)>>,
     conns: BTreeMap<Fd, Conn>,
     next_fd: Fd,
@@ -245,18 +334,20 @@ impl SimNet {
     }
 
     /// Server side: sends bytes to the client (visible after the one-way
-    /// delay).
+    /// delay). Marks the [`TxSignal`].
     pub fn write(&mut self, fd: Fd, now: u64, data: Vec<u8>) {
         let delay = self.cfg.one_way_delay;
         if let Some(c) = self.conns.get_mut(&fd) {
             if !c.server_closed {
                 self.bytes_s2c += data.len() as u64;
                 c.s2c.write(now + delay, data);
+                self.tx.mark();
             }
         }
     }
 
-    /// Server side: closes the server half of `fd` at `now`.
+    /// Server side: closes the server half of `fd` at `now`. Marks the
+    /// [`TxSignal`].
     pub fn close(&mut self, fd: Fd, now: u64) {
         let delay = self.cfg.one_way_delay;
         if let Some(c) = self.conns.get_mut(&fd) {
@@ -264,7 +355,14 @@ impl SimNet {
             if c.s2c.closed_at.is_none() {
                 c.s2c.closed_at = Some(now + delay);
             }
+            self.tx.mark();
         }
+    }
+
+    /// This network's server-output signal (shared: fire and take it
+    /// without holding the network's lock).
+    pub fn tx_signal(&self) -> Arc<TxSignal> {
+        Arc::clone(&self.tx)
     }
 
     /// Client side: earliest time after `now` at which more
@@ -519,6 +617,37 @@ mod tests {
         assert_eq!(s.bytes_sent, 20);
         assert_eq!(s.accepted, 1);
         assert!(s.to_string().contains("rx=10B"));
+    }
+
+    #[test]
+    fn server_output_marks_the_tx_signal_and_fire_notifies() {
+        use std::sync::atomic::AtomicU64;
+        let mut n = net();
+        let tx = n.tx_signal();
+        let fired = Arc::new(AtomicU64::new(0));
+        let f = Arc::clone(&fired);
+        let notify: TxNotifier = Arc::new(move || {
+            f.fetch_add(1, Ordering::Relaxed);
+        });
+        tx.set_notifier(Arc::clone(&notify));
+        n.listen(80);
+        let fd = n.connect(80, 0).unwrap();
+        n.accept(80, 100).unwrap();
+        n.client_write(fd, 100, b"req".to_vec());
+        tx.fire();
+        assert!(!tx.is_pending(), "client-side traffic does not mark");
+        assert_eq!(fired.load(Ordering::Relaxed), 0, "nothing to notify");
+        n.write(fd, 200, b"resp".to_vec());
+        tx.fire();
+        assert_eq!(fired.load(Ordering::Relaxed), 1);
+        assert!(tx.take(), "the write marked it");
+        assert!(!tx.take(), "taken once");
+        n.close(fd, 300);
+        assert!(tx.take(), "close marks it too");
+        tx.clear_notifier(&notify);
+        tx.mark();
+        tx.fire();
+        assert_eq!(fired.load(Ordering::Relaxed), 1, "cleared notifier");
     }
 
     #[test]

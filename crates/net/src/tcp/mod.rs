@@ -41,8 +41,9 @@
 //!
 //! Two small pieces close the loop with the runtime:
 //!
-//! - a **waker** ([`TcpGateway::set_waker`]): whenever the poller moved
-//!   bytes, it nudges the server's poll loop through the lock-free
+//! - a **waker** ([`TcpGateway::set_waker`]): whenever the poller
+//!   forwarded a connection, request bytes, an EOF or a dead peer, it
+//!   nudges the server's poll loop through the lock-free
 //!   injection path (`SwsService::waker` builds the right callback), so
 //!   request latency is bounded by scheduling, not by the server's
 //!   fallback poll interval;
@@ -50,6 +51,33 @@
 //!   [`Driver`] when the load is finished; the gateway's driver says
 //!   "not yet" until [`TcpGateway::shutdown`] ran, keeping the poll
 //!   loop re-armed while real clients may still connect.
+//!
+//! # The response path
+//!
+//! Responses travel the other way through the network's [`TxSignal`]:
+//!
+//! 1. the server's `write` (and `close`) marks the signal under the
+//!    network's lock;
+//! 2. when the server has nothing left in flight (`SwsService` counts
+//!    its per-connection stage chains, and also fires on every close)
+//!    it fires the signal, which runs the notifier [`TcpGateway::bind`]
+//!    installed: if the poller is blocked in `epoll_wait`, one byte on
+//!    a `UnixStream` pair in its epoll set wakes it; if not, a flag
+//!    keeps it from blocking on its next turn;
+//! 3. the poller takes the signal and, only then, sweeps every bridged
+//!    connection for server output under one network lock, queues it
+//!    per connection and writes it out.
+//!
+//! Waking on "server idle" rather than on every write keeps the
+//! poller's batching under load: at full load the server rarely idles
+//! and the poller picks output up on its own readiness wake-ups, many
+//! responses per sweep. [`TcpGatewayConfig::poll_timeout_ms`] is only
+//! an idle backstop; no response waits for it.
+//!
+//! Accepted sockets get `TCP_NODELAY`. Responses are written whole as
+//! soon as they exist, so Nagle's algorithm can only hurt: it would
+//! hold response *i*+1 until the client acknowledged response *i*, and
+//! a keep-alive client's acknowledgement rides on its next request.
 //!
 //! Failure handling follows the fault model: a peer reset or an EOF
 //! with a partial request buffered fails exactly one carried request
@@ -66,9 +94,10 @@ pub mod epoll;
 pub use minilibc::raise_nofile_limit;
 
 use std::collections::HashMap;
-use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -79,13 +108,16 @@ use parking_lot::Mutex;
 use mely_core::cycles;
 
 use crate::driver::Driver;
-use crate::{Fd, SimNet};
+use crate::{Fd, SimNet, TxNotifier, TxSignal};
 use conn::{drain_reads, ReadOutcome, WriteOutcome};
 use epoll::{Epoll, Interest};
 
 /// The epoll token reserved for the listener (real descriptors are
 /// their own tokens and can never reach this value).
 const LISTENER_TOKEN: u64 = u64::MAX;
+
+/// The epoll token of the flush notifier's read end.
+const FLUSH_TOKEN: u64 = u64::MAX - 1;
 
 /// Gateway parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,9 +129,10 @@ pub struct TcpGatewayConfig {
     /// beyond it, accepted sockets are closed immediately and counted
     /// as [`TcpStats::accept_sheds`].
     pub max_conns: usize,
-    /// `epoll_wait` timeout per poller iteration, in milliseconds. The
-    /// timeout also bounds how stale the response pump can get, so keep
-    /// it small.
+    /// `epoll_wait` timeout per poller iteration, in milliseconds. Only
+    /// an idle backstop: client bytes wake the poller through epoll and
+    /// server responses through the [`TxSignal`] notifier, so nothing
+    /// waits for it to expire.
     pub poll_timeout_ms: i32,
 }
 
@@ -159,6 +192,37 @@ impl StatsCells {
 
 type Waker = Box<dyn Fn() + Send>;
 
+/// The poller's side of the [`TxSignal`] notifier: a socket pair whose
+/// read end sits in the poller's epoll set.
+struct FlushWake {
+    /// The poller is in (or entering) `epoll_wait`: a flush request must
+    /// write to the socket pair to reach it.
+    armed: AtomicBool,
+    /// A flush was requested; the poller must not block before it
+    /// pumped.
+    requested: AtomicBool,
+    tx: UnixStream,
+}
+
+impl FlushWake {
+    /// The server went idle with output pending. Writing is needed only
+    /// while the poller is blocked; otherwise `requested` keeps it from
+    /// blocking. (Both sides store, then read the other's flag, all
+    /// SeqCst: at least one of them sees the other.)
+    fn request(&self) {
+        self.requested.store(true, Ordering::SeqCst);
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.poke();
+        }
+    }
+
+    /// Wakes the poller unconditionally. A full pipe already holds a
+    /// wake-up, so `WouldBlock` is success.
+    fn poke(&self) {
+        let _ = (&self.tx).write(&[1]);
+    }
+}
+
 /// One bridged connection, owned by the poller thread.
 struct Bridged {
     /// The real socket (closing it deregisters it from epoll).
@@ -171,6 +235,8 @@ struct Bridged {
     wants_write: bool,
     /// The real peer sent EOF (already forwarded as `client_close`).
     read_closed: bool,
+    /// The server closed its side: tear down once `wb` is flushed.
+    closing: bool,
 }
 
 /// The loopback TCP front-end: a listener plus a poller thread bridging
@@ -181,15 +247,20 @@ pub struct TcpGateway {
     finished: Arc<AtomicBool>,
     stats: Arc<StatsCells>,
     waker: Arc<Mutex<Option<Waker>>>,
+    flush: Arc<FlushWake>,
+    /// The network's signal and the notifier this gateway installed on
+    /// it (removed again at shutdown).
+    tx: Arc<TxSignal>,
+    notifier: TxNotifier,
     poller: Option<JoinHandle<()>>,
 }
 
 impl TcpGateway {
     /// Binds `addr` (use port 0 for an ephemeral port), opens the
-    /// [`SimNet`] listener on `cfg.sim_port`, and starts the poller
-    /// thread. The returned gateway accepts immediately; attach the
-    /// server's waker with [`TcpGateway::set_waker`] once it is
-    /// installed.
+    /// [`SimNet`] listener on `cfg.sim_port`, installs the network's
+    /// [`TxSignal`] notifier, and starts the poller thread. The returned
+    /// gateway accepts immediately; attach the server's waker with
+    /// [`TcpGateway::set_waker`] once it is installed.
     ///
     /// # Errors
     ///
@@ -204,19 +275,46 @@ impl TcpGateway {
         let local_addr = listener.local_addr()?;
         let ep = Epoll::new()?;
         ep.add(listener.as_raw_fd(), Interest::READ, LISTENER_TOKEN)?;
-        net.lock().listen(cfg.sim_port);
+        let (flush_rx, flush_tx) = UnixStream::pair()?;
+        flush_rx.set_nonblocking(true)?;
+        flush_tx.set_nonblocking(true)?;
+        ep.add(flush_rx.as_raw_fd(), Interest::READ, FLUSH_TOKEN)?;
+        let flush = Arc::new(FlushWake {
+            armed: AtomicBool::new(false),
+            requested: AtomicBool::new(false),
+            tx: flush_tx,
+        });
+        let notifier: TxNotifier = {
+            let flush = Arc::clone(&flush);
+            Arc::new(move || flush.request())
+        };
+        let tx = {
+            let mut n = net.lock();
+            n.listen(cfg.sim_port);
+            n.tx_signal()
+        };
+        tx.set_notifier(Arc::clone(&notifier));
 
         let stop = Arc::new(AtomicBool::new(false));
         let finished = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(StatsCells::default());
         let waker: Arc<Mutex<Option<Waker>>> = Arc::new(Mutex::new(None));
         let poller = {
-            let stop = Arc::clone(&stop);
-            let stats = Arc::clone(&stats);
-            let waker = Arc::clone(&waker);
+            let poller = Poller {
+                listener,
+                ep,
+                flush_rx,
+                flush: Arc::clone(&flush),
+                tx: Arc::clone(&tx),
+                net,
+                cfg,
+                stop: Arc::clone(&stop),
+                stats: Arc::clone(&stats),
+                waker: Arc::clone(&waker),
+            };
             std::thread::Builder::new()
                 .name("mely-tcp-poller".into())
-                .spawn(move || poller_loop(listener, ep, net, cfg, &stop, &stats, &waker))
+                .spawn(move || poller.run())
                 .expect("spawn poller thread")
         };
         Ok(TcpGateway {
@@ -225,6 +323,9 @@ impl TcpGateway {
             finished,
             stats,
             waker,
+            flush,
+            tx,
+            notifier,
             poller: Some(poller),
         })
     }
@@ -234,7 +335,8 @@ impl TcpGateway {
         self.local_addr
     }
 
-    /// Installs the callback the poller invokes after moving bytes —
+    /// Installs the callback the poller invokes after forwarding client
+    /// input (a connection, bytes, an EOF or a dead peer) —
     /// normally `SwsService::waker(..)`'s `wake` wrapped in a
     /// closure — so the server polls promptly instead of waiting out
     /// its fallback interval.
@@ -267,8 +369,12 @@ impl TcpGateway {
     fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(t) = self.poller.take() {
+            self.flush.poke();
             let _ = t.join();
         }
+        // The network may outlive the gateway (a server's stages hold
+        // it); drop the notifier so it no longer pins our socket pair.
+        self.tx.clear_notifier(&self.notifier);
         self.finished.store(true, Ordering::Release);
     }
 }
@@ -307,64 +413,94 @@ impl Driver for TcpDriver {
     }
 }
 
-fn poller_loop(
+/// Everything the poller thread owns.
+struct Poller {
     listener: TcpListener,
     ep: Epoll,
+    flush_rx: UnixStream,
+    flush: Arc<FlushWake>,
+    tx: Arc<TxSignal>,
     net: Arc<Mutex<SimNet>>,
     cfg: TcpGatewayConfig,
-    stop: &AtomicBool,
-    stats: &StatsCells,
-    waker: &Mutex<Option<Waker>>,
-) {
-    let mut conns: HashMap<RawFd, Bridged> = HashMap::new();
-    let mut ready = Vec::new();
-    // The response pump is an O(conns) sweep under the net lock; on
-    // iterations where the server has neither written nor closed
-    // anything since the last sweep (fingerprint: total bytes sent +
-    // live connection count), skip it — with a periodic forced sweep as
-    // a backstop so nothing can stall behind a stale fingerprint.
-    let mut last_fp = (u64::MAX, usize::MAX);
-    let mut iter = 0u64;
-    while !stop.load(Ordering::Acquire) {
-        ready.clear();
-        if ep.wait(&mut ready, cfg.poll_timeout_ms).is_err() {
-            // Only non-EINTR errors reach here: the epoll fd itself is
-            // broken, so readiness can no longer be observed.
-            break;
-        }
-        iter += 1;
-        let mut activity = false;
-        for r in ready.iter().copied() {
-            if r.token == LISTENER_TOKEN {
-                activity |= accept_burst(&listener, &ep, &net, &cfg, stats, &mut conns);
+    stop: Arc<AtomicBool>,
+    stats: Arc<StatsCells>,
+    waker: Arc<Mutex<Option<Waker>>>,
+}
+
+impl Poller {
+    fn run(self) {
+        let Poller {
+            listener,
+            ep,
+            flush_rx,
+            flush,
+            tx,
+            net,
+            cfg,
+            stop,
+            stats,
+            waker,
+        } = self;
+        let mut conns: HashMap<RawFd, Bridged> = HashMap::new();
+        let mut ready = Vec::new();
+        while !stop.load(Ordering::Acquire) {
+            ready.clear();
+            // Arm the notifier before deciding to block: a flush
+            // requested from here on writes to the socket pair, and one
+            // requested earlier is seen now and skips the wait.
+            flush.armed.store(true, Ordering::SeqCst);
+            let timeout = if flush.requested.swap(false, Ordering::SeqCst) {
+                0
             } else {
-                activity |= conn_readiness(r, &ep, &net, stats, &mut conns);
+                cfg.poll_timeout_ms
+            };
+            let waited = ep.wait(&mut ready, timeout);
+            flush.armed.store(false, Ordering::SeqCst);
+            if waited.is_err() {
+                // Only non-EINTR errors reach here: the epoll fd itself
+                // is broken, so readiness can no longer be observed.
+                break;
+            }
+            let mut news = false;
+            for r in ready.iter().copied() {
+                match r.token {
+                    LISTENER_TOKEN => {
+                        news |= accept_burst(&listener, &ep, &net, &cfg, &stats, &mut conns);
+                    }
+                    FLUSH_TOKEN => drain_flush(&flush_rx),
+                    _ => news |= conn_readiness(r, &ep, &net, &stats, &mut conns),
+                }
+            }
+            // The response pump is an O(conns) sweep under the net lock:
+            // run it exactly when the server wrote or closed something
+            // since the last sweep. The waker runs only for news the
+            // server must poll for, not for moving its own output.
+            if tx.take() {
+                news |= pump_responses(&ep, &net, &tx, &stats, &mut conns);
+            }
+            if news {
+                if let Some(wake) = waker.lock().as_ref() {
+                    wake();
+                }
             }
         }
-        let fp = {
-            let n = net.lock();
-            (n.stats().bytes_sent, n.live_conns())
-        };
-        if fp != last_fp || iter.is_multiple_of(64) {
-            last_fp = fp;
-            activity |= pump_responses(&ep, &net, stats, &mut conns);
-        }
-        if activity {
-            if let Some(wake) = waker.lock().as_ref() {
-                wake();
+        // Teardown: every bridged socket that is still open counts as a
+        // close, and its SimNet twin is closed so the server can reap it.
+        let now = cycles::now();
+        let mut n = net.lock();
+        for (_, b) in conns.drain() {
+            if !b.read_closed {
+                n.client_close(b.sim_fd, now);
             }
+            stats.closed.fetch_add(1, Ordering::Relaxed);
         }
     }
-    // Teardown: every bridged socket that is still open counts as a
-    // close, and its SimNet twin is closed so the server can reap it.
-    let now = cycles::now();
-    let mut n = net.lock();
-    for (_, b) in conns.drain() {
-        if !b.read_closed {
-            n.client_close(b.sim_fd, now);
-        }
-        stats.closed.fetch_add(1, Ordering::Relaxed);
-    }
+}
+
+/// Empties the notifier's socket (the bytes carry no data).
+fn drain_flush(mut rx: &UnixStream) {
+    let mut buf = [0u8; 64];
+    while matches!(rx.read(&mut buf), Ok(n) if n > 0) {}
 }
 
 /// Accepts until `EAGAIN`, bridging each socket into the [`SimNet`].
@@ -406,6 +542,12 @@ fn accept_burst(
         }
         // SAFETY: `raw` is a freshly accepted descriptor we own.
         let owned = unsafe { OwnedFd::from_raw_fd(raw) };
+        // Responses are written whole, as soon as the server has them:
+        // with Nagle on, response i+1 would wait for the client's ACK of
+        // response i, which rides on the client's next request.
+        let sock = TcpStream::from(owned);
+        let _ = sock.set_nodelay(true);
+        let owned = OwnedFd::from(sock);
         if conns.len() >= cfg.max_conns {
             stats.accept_sheds.fetch_add(1, Ordering::Relaxed);
             continue; // dropping `owned` closes the socket
@@ -431,6 +573,7 @@ fn accept_burst(
                 wb: conn::WriteBuf::default(),
                 wants_write: false,
                 read_closed: false,
+                closing: false,
             },
         );
         stats.accepted.fetch_add(1, Ordering::Relaxed);
@@ -441,6 +584,7 @@ fn accept_burst(
 
 /// Handles readiness on one bridged connection: drains request bytes
 /// into the [`SimNet`], forwards EOF/reset, flushes on writability.
+/// Returns whether the server has news (bytes, EOF or a dead peer).
 fn conn_readiness(
     r: epoll::Ready,
     ep: &Epoll,
@@ -452,7 +596,7 @@ fn conn_readiness(
     let Some(b) = conns.get_mut(&raw) else {
         return false; // already torn down this iteration
     };
-    let mut activity = false;
+    let mut news = false;
     if (r.readable || r.hangup) && !b.read_closed {
         let mut data = Vec::new();
         let outcome = drain_reads(b.fd.as_raw_fd(), &mut data);
@@ -462,7 +606,7 @@ fn conn_readiness(
                 .rx_bytes
                 .fetch_add(data.len() as u64, Ordering::Relaxed);
             net.lock().client_write(b.sim_fd, now, data);
-            activity = true;
+            news = true;
         }
         match outcome {
             ReadOutcome::WouldBlock => {}
@@ -471,7 +615,7 @@ fn conn_readiness(
                 // side open until the server's close becomes visible.
                 b.read_closed = true;
                 net.lock().client_close(b.sim_fd, now);
-                activity = true;
+                news = true;
             }
             ReadOutcome::Reset => {
                 stats.resets.fetch_add(1, Ordering::Relaxed);
@@ -484,11 +628,14 @@ fn conn_readiness(
     if r.writable {
         if let Some(b) = conns.get_mut(&raw) {
             match b.wb.flush(b.fd.as_raw_fd()) {
+                WriteOutcome::Drained if b.closing => {
+                    conns.remove(&raw); // the server's close, now mirrored
+                    stats.closed.fetch_add(1, Ordering::Relaxed);
+                }
                 WriteOutcome::Drained => {
                     if b.wants_write && ep.modify(raw, Interest::READ, raw as u64).is_ok() {
                         b.wants_write = false;
                     }
-                    activity = true;
                 }
                 WriteOutcome::Blocked => {}
                 WriteOutcome::Closed => {
@@ -500,50 +647,61 @@ fn conn_readiness(
             }
         }
     }
-    activity
+    news
 }
 
 /// Moves server responses from the [`SimNet`] toward the real sockets
-/// and tears down connections whose server side closed. One pass per
-/// poller iteration, one `net` lock for the whole sweep.
+/// and tears down connections whose server side closed. Runs when the
+/// [`TxSignal`] was marked; one `net` lock for the whole sweep. Returns
+/// whether the server has news: a peer found dead on write. Moving its
+/// own output is none, so it wakes nobody.
 fn pump_responses(
     ep: &Epoll,
     net: &Mutex<SimNet>,
+    tx: &TxSignal,
     stats: &StatsCells,
     conns: &mut HashMap<RawFd, Bridged>,
 ) -> bool {
-    let mut activity = false;
-    let mut closed: Vec<RawFd> = Vec::new();
+    let mut news = false;
     {
         let mut n = net.lock();
         let now = cycles::now();
-        for (&raw, b) in conns.iter_mut() {
+        for b in conns.values_mut() {
             let data = n.client_read(b.sim_fd, now);
             if !data.is_empty() {
                 stats
                     .tx_bytes
                     .fetch_add(data.len() as u64, Ordering::Relaxed);
                 b.wb.queue(&data);
-                activity = true;
             }
-            if b.wb.is_empty() && n.client_sees_close(b.sim_fd, now) {
-                closed.push(raw);
+            b.closing |= n.client_sees_close(b.sim_fd, now);
+            if n.client_next_visibility(b.sim_fd, now).is_some() {
+                // Output not visible yet (a network with a propagation
+                // delay): keep the signal marked so a later sweep
+                // delivers it.
+                tx.mark();
             }
         }
     }
     // Flush outside the net lock: write syscalls must not stall the
-    // server's stages.
-    let mut dead: Vec<RawFd> = Vec::new();
+    // server's stages. A drained connection whose server side closed is
+    // torn down here; one whose flush blocked is torn down by the
+    // writable path once its tail drains.
+    let mut gone: Vec<(RawFd, bool)> = Vec::new();
     for (&raw, b) in conns.iter_mut() {
         if b.wb.is_empty() {
+            if b.closing {
+                gone.push((raw, false));
+            }
             continue;
         }
         match b.wb.flush(b.fd.as_raw_fd()) {
             WriteOutcome::Drained => {
-                if b.wants_write && ep.modify(raw, Interest::READ, raw as u64).is_ok() {
+                if b.closing {
+                    gone.push((raw, false));
+                } else if b.wants_write && ep.modify(raw, Interest::READ, raw as u64).is_ok() {
                     b.wants_write = false;
                 }
-                activity = true;
             }
             WriteOutcome::Blocked => {
                 if !b.wants_write && ep.modify(raw, Interest::READ_WRITE, raw as u64).is_ok() {
@@ -552,34 +710,22 @@ fn pump_responses(
             }
             WriteOutcome::Closed => {
                 stats.resets.fetch_add(1, Ordering::Relaxed);
-                dead.push(raw);
+                gone.push((raw, true));
             }
         }
     }
-    {
-        let now = cycles::now();
-        for raw in dead {
-            if let Some(b) = conns.remove(&raw) {
-                net.lock().client_close(b.sim_fd, now);
-                activity = true;
-            }
-        }
-    }
-    // A connection fully drained whose server side closed: mirror the
-    // close on the real socket. (Checked again — a flush above may have
-    // queued nothing but the close decision is from the locked pass.)
-    for raw in closed {
-        if let Some(b) = conns.get(&raw) {
-            if !b.wb.is_empty() {
-                continue; // a flush blocked after the check; next pass
-            }
-            let b = conns.remove(&raw).expect("present");
-            drop(b); // closes the real fd, deregistering it from epoll
+    let now = cycles::now();
+    for (raw, reset) in gone {
+        let b = conns.remove(&raw).expect("present");
+        if reset {
+            net.lock().client_close(b.sim_fd, now);
+            news = true;
+        } else {
             stats.closed.fetch_add(1, Ordering::Relaxed);
-            activity = true;
         }
+        drop(b); // closes the real fd, deregistering it from epoll
     }
-    activity
+    news
 }
 
 #[cfg(all(test, target_os = "linux"))]
@@ -710,6 +856,67 @@ mod tests {
             }
         });
         let _ = gw.shutdown();
+    }
+
+    #[test]
+    fn bridged_sockets_disable_nagle() {
+        let (gw, _net) = gateway(TcpGatewayConfig::default());
+        let c = TcpStream::connect(gw.local_addr()).unwrap();
+        wait_until(|| gw.stats().accepted == 1);
+        let (client, server) = (c.local_addr().unwrap(), gw.local_addr());
+        // The accepted end lives in this process: find it by its
+        // addresses among our descriptors.
+        let bridged = std::fs::read_dir("/proc/self/fd")
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().to_str()?.parse::<RawFd>().ok())
+            .find_map(|fd| {
+                // SAFETY: borrowed and never closed (ManuallyDrop); on a
+                // descriptor that is not a socket, or no longer open,
+                // the queries below just fail.
+                let s = std::mem::ManuallyDrop::new(unsafe { TcpStream::from_raw_fd(fd) });
+                let ours = s.peer_addr().ok()? == client && s.local_addr().ok()? == server;
+                ours.then(|| s.nodelay().ok()).flatten()
+            });
+        assert_eq!(bridged, Some(true), "TCP_NODELAY on the bridged socket");
+        drop(c);
+        gw.shutdown();
+    }
+
+    #[test]
+    fn firing_the_signal_flushes_without_waiting_for_the_poll_timeout() {
+        let (gw, net) = gateway(TcpGatewayConfig {
+            poll_timeout_ms: 10_000,
+            ..TcpGatewayConfig::default()
+        });
+        let mut c = TcpStream::connect(gw.local_addr()).unwrap();
+        c.write_all(b"ping").unwrap();
+        wait_until(|| {
+            let mut n = net.lock();
+            let now = cycles::now();
+            let _ = n.accept(80, now);
+            n.read(0, now) == b"ping" || n.stats().bytes_received == 4
+        });
+        // Let the poller settle into its long wait before the server
+        // answers.
+        std::thread::sleep(Duration::from_millis(20));
+        let t0 = Instant::now();
+        net.lock().write(0, cycles::now(), b"pong".to_vec());
+        net.lock().tx_signal().fire();
+        let mut got = [0u8; 4];
+        c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        c.read_exact(&mut got).unwrap();
+        let waited = t0.elapsed();
+        assert_eq!(&got, b"pong");
+        assert!(
+            waited < Duration::from_millis(1_000),
+            "response waited {waited:?} for a 10 s poll timeout"
+        );
+        let t0 = Instant::now();
+        gw.shutdown();
+        assert!(
+            t0.elapsed() < Duration::from_millis(1_000),
+            "shutdown wakes the poller"
+        );
     }
 
     #[test]

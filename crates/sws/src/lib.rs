@@ -35,7 +35,7 @@
 //! (normally `mely_loadgen::ClosedLoopLoad` with [`HttpProtocol`]).
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -48,7 +48,7 @@ use mely_core::stage::{Pipeline, PipelineBuilder, Stage, StageCtx, StageSpec};
 use mely_http::{Request, RequestParser, Response, ResponseCache};
 use mely_loadgen::ClientProtocol;
 use mely_net::driver::Driver;
-use mely_net::{Fd, NetEvent, SimNet};
+use mely_net::{Fd, NetEvent, SimNet, TxSignal};
 
 pub mod comparators;
 
@@ -391,6 +391,51 @@ struct SwsShared<D> {
     /// A [`SwsWaker`] tick is in flight: collapses wake bursts from an
     /// external poller thread into at most one pending `PollTick`.
     wake_pending: AtomicBool,
+    /// Per-connection stage chains in flight. A chain starts at each
+    /// `ReadRequest` the poll loop spawns and ends at the stage that
+    /// hands nothing on (or at `Close`). A pipelined request waiting in
+    /// the parse buffer keeps its chain going, so zero means every
+    /// request the server has read is answered. (A chain whose next
+    /// event is shed, which only a quarantined color does, never ends;
+    /// the gateway's poll timeout then backs up the flush.)
+    chains: AtomicUsize,
+    /// The network's server-output signal, fired when `chains` drops
+    /// to zero and on every close: the server has nothing left in
+    /// flight, so whatever it wrote should leave now.
+    tx: Arc<TxSignal>,
+}
+
+impl<D> SwsShared<D> {
+    /// The per-connection chain of the running stage; see [`ChainLink`].
+    fn link(&self) -> ChainLink<'_, D> {
+        ChainLink {
+            shared: self,
+            forwarded: false,
+        }
+    }
+}
+
+/// One per-connection stage's share of [`SwsShared::chains`]: ends the
+/// chain when dropped unless the stage [`forward`](ChainLink::forward)ed
+/// it to a next stage. Taken first in a stage, it drops last, after the
+/// stage's locks; a panicking stage ends its chain too.
+struct ChainLink<'a, D> {
+    shared: &'a SwsShared<D>,
+    forwarded: bool,
+}
+
+impl<D> ChainLink<'_, D> {
+    fn forward(&mut self) {
+        self.forwarded = true;
+    }
+}
+
+impl<D> Drop for ChainLink<'_, D> {
+    fn drop(&mut self) {
+        if !self.forwarded && self.shared.chains.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.shared.tx.fire();
+        }
+    }
 }
 
 /// The poll loop's self-message. Re-arming ticks (the seed and every
@@ -454,6 +499,7 @@ impl<D: Driver + 'static> Stage for EpollStage<D> {
                                 // Each readiness notification opens a
                                 // new request: its latency runs from the
                                 // ReadRequest dispatch to the response.
+                                s.chains.fetch_add(1, Ordering::Relaxed);
                                 ctx.spawn::<ReadRequestStage<D>>(fd);
                             }
                         }
@@ -562,6 +608,7 @@ impl<D: Driver + 'static> Stage for ReadRequestStage<D> {
 
     fn handle(&self, ctx: &mut StageCtx<'_, '_>, fd: Fd) {
         let s = &self.0;
+        let mut link = s.link();
         let now = ctx.now();
         let mut net = s.net.lock();
         let data = net.read(fd, now);
@@ -581,11 +628,13 @@ impl<D: Driver + 'static> Stage for ReadRequestStage<D> {
                 ctx.fail();
                 st.stats.aborted += 1;
             }
+            link.forward();
             ctx.to::<CloseStage<D>>(fd);
             return;
         }
         if !data.is_empty() {
             conn.parser.feed(&data);
+            link.forward();
             ctx.to::<ParseRequestStage<D>>(fd);
         }
     }
@@ -602,6 +651,7 @@ impl<D: Driver + 'static> Stage for ParseRequestStage<D> {
     }
 
     fn handle(&self, ctx: &mut StageCtx<'_, '_>, fd: Fd) {
+        let mut link = self.0.link();
         let mut st = self.0.state.lock();
         let Some(conn) = st.conns.get_mut(&fd) else {
             return;
@@ -610,6 +660,7 @@ impl<D: Driver + 'static> Stage for ParseRequestStage<D> {
             Some(Ok(req)) => {
                 conn.close_after |= !req.keep_alive;
                 conn.reqs.push_back(Ok(req));
+                link.forward();
                 ctx.to::<GetFromCacheStage<D>>(fd);
             }
             None => {
@@ -619,6 +670,7 @@ impl<D: Driver + 'static> Stage for ParseRequestStage<D> {
                 conn.reqs.push_back(Err(Response::bad_request()));
                 conn.close_after = true;
                 st.stats.bad_request += 1;
+                link.forward();
                 ctx.to::<GetFromCacheStage<D>>(fd);
             }
         }
@@ -635,6 +687,7 @@ impl<D: Driver + 'static> Stage for GetFromCacheStage<D> {
     }
 
     fn handle(&self, ctx: &mut StageCtx<'_, '_>, fd: Fd) {
+        let mut link = self.0.link();
         let mut st = self.0.state.lock();
         let Some(conn) = st.conns.get_mut(&fd) else {
             return;
@@ -652,6 +705,7 @@ impl<D: Driver + 'static> Stage for GetFromCacheStage<D> {
         };
         let conn = st.conns.get_mut(&fd).expect("checked above");
         conn.resps.push_back(resp);
+        link.forward();
         ctx.to::<WriteResponseStage<D>>(fd);
     }
 }
@@ -668,6 +722,7 @@ impl<D: Driver + 'static> Stage for WriteResponseStage<D> {
 
     fn handle(&self, ctx: &mut StageCtx<'_, '_>, fd: Fd) {
         let s = &self.0;
+        let mut link = s.link();
         let now = ctx.now();
         let mut st = s.state.lock();
         let Some(conn) = st.conns.get_mut(&fd) else {
@@ -691,10 +746,12 @@ impl<D: Driver + 'static> Stage for WriteResponseStage<D> {
         // The response left the server: the request is complete.
         ctx.complete(());
         if close_after {
+            link.forward();
             ctx.to::<CloseStage<D>>(fd);
         } else if more {
             // Pipelined request already buffered: a new request begins
             // at its parse.
+            link.forward();
             ctx.spawn::<ParseRequestStage<D>>(fd);
         }
     }
@@ -711,6 +768,8 @@ impl<D: Driver + 'static> Stage for CloseStage<D> {
 
     fn handle(&self, ctx: &mut StageCtx<'_, '_>, fd: Fd) {
         let s = &self.0;
+        // Every chain that reaches `Close` ends here.
+        let _link = s.link();
         let now = ctx.now();
         let mut net = s.net.lock();
         net.close(fd, now);
@@ -721,6 +780,8 @@ impl<D: Driver + 'static> Stage for CloseStage<D> {
             st.stats.closed += 1;
             ctx.to::<DecAcceptedStage<D>>(());
         }
+        drop(st);
+        s.tx.fire();
     }
 }
 
@@ -878,6 +939,8 @@ impl<D: Driver + 'static> Service for SwsService<D> {
             driver: Arc::clone(&self.driver),
             cfg: self.cfg.clone(),
             wake_pending: AtomicBool::new(false),
+            chains: AtomicUsize::new(0),
+            tx: self.net.lock().tx_signal(),
         });
         let mut builder = PipelineBuilder::new("sws");
         if let Some(colors) = self.colors.take() {

@@ -115,8 +115,8 @@ fn main() {
         conns: conns as u64,
         responses: report.completed_requests(),
         rps: client.rps(),
-        p50_us: cycles_to_us(report.latency_p50()),
-        p99_us: cycles_to_us(report.latency_p99()),
+        p50_us: cycles_to_us(report.latency_p50(), report.freq_hz()),
+        p99_us: cycles_to_us(report.latency_p99(), report.freq_hz()),
         sheds: report.shed_requests() + gw.accept_sheds,
         faults: report.failed_requests() + gw.resets,
         steals_by_tier: report.steals_by_tier(),
@@ -154,7 +154,7 @@ fn main() {
         gw.resets,
         gw.rx_bytes as f64 / 1e6,
         gw.tx_bytes as f64 / 1e6,
-        cycles_to_us(elapsed_cycles) / 1e3,
+        cycles_to_us(elapsed_cycles, cycles::hz()) / 1e3,
     );
 
     if let Ok(path) = std::env::var("MELY_SERVE_SUMMARY") {

@@ -11,7 +11,9 @@ use mely_repro::bench::PaperConfig;
 use mely_repro::summary::{cycles_to_us, RunSummary};
 
 fn summarize(r: &SwsRun, clients: usize, duration: u64) -> RunSummary {
-    let secs = duration as f64 / mely_repro::core::cycles::NOMINAL_FREQ_HZ as f64;
+    // Simulated runs count virtual cycles of the machine model.
+    let hz = r.report.freq_hz();
+    let secs = duration as f64 / hz as f64;
     RunSummary {
         label: r.label.clone(),
         conns: clients as u64,
@@ -21,8 +23,8 @@ fn summarize(r: &SwsRun, clients: usize, duration: u64) -> RunSummary {
         } else {
             0.0
         },
-        p50_us: cycles_to_us(r.report.latency_p50()),
-        p99_us: cycles_to_us(r.report.latency_p99()),
+        p50_us: cycles_to_us(r.report.latency_p50(), hz),
+        p99_us: cycles_to_us(r.report.latency_p99(), hz),
         sheds: r.report.shed_requests(),
         faults: r.report.failed_requests(),
         steals_by_tier: r.report.steals_by_tier(),

@@ -8,12 +8,12 @@
 
 use std::fmt;
 
-use mely_core::cycles::NOMINAL_FREQ_HZ;
-
-/// Converts a latency measured in cycles to microseconds at the
-/// nominal frequency shared by the simulator and the rdtsc clock.
-pub fn cycles_to_us(cycles: u64) -> f64 {
-    cycles as f64 * 1e6 / NOMINAL_FREQ_HZ as f64
+/// Converts a span of `cycles` on a clock running at `freq_hz` to
+/// microseconds. Pass the run's own rate, `RunReport::freq_hz`: the
+/// simulator counts virtual cycles of its machine model, the threaded
+/// executor the host's measured cycle counter (`cycles::hz`).
+pub fn cycles_to_us(cycles: u64, freq_hz: u64) -> f64 {
+    cycles as f64 * 1e6 / freq_hz as f64
 }
 
 /// One row of the serving summary: a labelled run with its throughput,
@@ -120,9 +120,10 @@ mod tests {
     }
 
     #[test]
-    fn cycle_conversion_uses_the_nominal_frequency() {
-        assert_eq!(cycles_to_us(NOMINAL_FREQ_HZ), 1e6);
-        assert_eq!(cycles_to_us(2_330), 1.0);
-        assert_eq!(cycles_to_us(0), 0.0);
+    fn cycle_conversion_uses_the_given_clock_rate() {
+        assert_eq!(cycles_to_us(2_330_000_000, 2_330_000_000), 1e6);
+        assert_eq!(cycles_to_us(2_330, 2_330_000_000), 1.0);
+        assert_eq!(cycles_to_us(2_100, 2_100_000_000), 1.0);
+        assert_eq!(cycles_to_us(0, 2_100_000_000), 0.0);
     }
 }

@@ -1,21 +1,28 @@
 //! Tier-1 allocation guard for the dispatch hot paths.
 //!
-//! The zero-allocation-dispatch PR's contract: once warm, neither the
-//! Mely queue's push/pop churn (including steals) nor the injection
-//! inbox's push/drain round trip touches the heap. This suite proves it
-//! with a counting `#[global_allocator]` rather than by inspection.
+//! The zero-allocation-dispatch contract: once warm, neither the Mely
+//! queue's push/pop churn (including steals), nor the injection inbox's
+//! push/drain round trip, nor a threaded worker's idle loop of failed
+//! steal attempts touches the heap. This suite proves it with a
+//! counting `#[global_allocator]` rather than by inspection.
 //!
 //! The counter is **thread-local**, so the default parallel test
 //! harness (and any background thread) cannot pollute a measurement:
-//! each test counts only allocations made on its own thread, and both
-//! structures are driven single-threadedly here (`InjectionInbox::push`
-//! is thread-safe but does not require multiple threads).
+//! each test counts only allocations made on its own thread. The queue
+//! and inbox are driven single-threadedly here (`InjectionInbox::push`
+//! is thread-safe but does not require multiple threads); the worker
+//! test reads a worker thread's own counter from inside handlers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use mely_repro::core::color::Color;
+use mely_repro::core::cycles;
 use mely_repro::core::event::Event;
+use mely_repro::core::prelude::*;
 use mely_repro::core::queue::MelyQueue;
 use mely_repro::core::threaded::inbox::InjectionInbox;
 
@@ -167,4 +174,79 @@ fn inbox_push_drain_steady_state_allocates_nothing() {
         "steady-state inbox push/drain hit the allocator {delta} times"
     );
     assert!(inbox.total_node_reuses() >= 200 * 128);
+}
+
+/// A worker's idle loop — failed steal attempts that lock the victim's
+/// queue and find nothing worth taking, then the park — allocates
+/// nothing once warm: the load and victim lists live in per-worker
+/// buffers the steal policy writes into.
+#[test]
+fn threaded_idle_steal_attempts_allocate_nothing_once_warm() {
+    let mut rt = RuntimeBuilder::new()
+        .cores(2)
+        .flavor(Flavor::Mely)
+        .workstealing(WsPolicy::improved())
+        .build(ExecKind::Threaded);
+    // Core 0 spins on a long event of color A with more of A queued
+    // behind it: core 1 sees a non-empty victim queue, takes both
+    // locks, and finds only A, which is in flight.
+    let (busy, probe) = (Color::new(1), Color::new(2));
+    let blocker_done = Arc::new(AtomicBool::new(false));
+    let done = Arc::clone(&blocker_done);
+    let spin = (0.4 * cycles::hz() as f64) as u64; // ~400 ms
+    rt.register_pinned(
+        Event::new(busy, spin).with_action(move |_| done.store(true, Ordering::SeqCst)),
+        0,
+    );
+    for _ in 0..3 {
+        rt.register_pinned(Event::new(busy, 0), 0);
+    }
+    rt.register_pinned(Event::new(probe, 0), 1);
+    // Probes on core 1 record that worker thread's allocation count.
+    let counts: Arc<[AtomicU64; 3]> = Arc::new(Default::default());
+    let injector = rt.injector();
+    let handle = rt.as_threaded().expect("threaded runtime").handle();
+    let (c, d) = (Arc::clone(&counts), Arc::clone(&blocker_done));
+    let driver = std::thread::spawn(move || {
+        for i in 0..3 {
+            let (slot, d) = (Arc::clone(&c), Arc::clone(&d));
+            injector.inject(Event::new(probe, 0).with_action(move |_| {
+                assert!(!d.load(Ordering::SeqCst), "blocker ended too early");
+                slot[i].store(allocs_on_this_thread() + 1, Ordering::SeqCst);
+            }));
+            let t0 = Instant::now();
+            while c[i].load(Ordering::SeqCst) == 0 {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(10),
+                    "probe {i} never ran"
+                );
+                std::thread::yield_now();
+            }
+            // Let core 1 go idle: spin through its steal attempts and
+            // park (core 0 is busy) before the next probe.
+            while handle.sleeping_workers() == 0 {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(10),
+                    "core 1 never parked"
+                );
+                std::thread::yield_now();
+            }
+        }
+    });
+    let report = rt.run();
+    driver.join().expect("probes ran while core 0 was busy");
+    let c = |i: usize| counts[i].load(Ordering::SeqCst);
+    let core1 = report.per_core()[1];
+    assert!(
+        core1.steal_attempts >= 100,
+        "core 1 went idle without trying to steal: {core1:?}"
+    );
+    assert_eq!(core1.steals, 0, "nothing was stealable");
+    // Probe 0 warms the inbox drain, the probe color's queue and the
+    // steal buffers; from probe 1 on, idle episodes are warm.
+    assert_eq!(
+        c(2) - c(1),
+        0,
+        "a warm idle episode on core 1 hit the allocator"
+    );
 }

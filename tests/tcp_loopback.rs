@@ -9,22 +9,29 @@
 //!    response a real client received, framed and verified;
 //! 2. **fd hygiene**: after any number of connect/serve/close rounds the
 //!    process holds exactly as many file descriptors as before — no
-//!    leaked sockets, no leaked epoll instances.
+//!    leaked sockets, no leaked epoll instances;
+//! 3. **promptness**: a response leaves as soon as the server has
+//!    nothing left in flight, not when the gateway's poll timeout
+//!    expires.
 //!
 //! The soak defaults to CI-safe counts; raise `MELY_SOAK_CONNS` (total
 //! connections across both churn waves) to stress harder.
 
 #![cfg(target_os = "linux")]
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::{Arc, Mutex as StdMutex};
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
 use mely_repro::core::prelude::*;
 use mely_repro::loadgen::tcp::{TcpLoadReport, TcpLoadgen, TcpLoadgenConfig};
+use mely_repro::loadgen::ClientProtocol;
 use mely_repro::net::tcp::{raise_nofile_limit, TcpGateway, TcpGatewayConfig, TcpStats};
 use mely_repro::net::{NetConfig, SimNet};
-use mely_repro::sws::{SwsConfig, SwsService, SwsStats};
+use mely_repro::sws::{HttpProtocol, SwsConfig, SwsService, SwsStats};
 
 /// Tests that count `/proc/self/fd` must not overlap with anything else
 /// that opens sockets, so they serialize on this lock. `cargo test`
@@ -181,5 +188,82 @@ fn loopback_soak_leaks_no_fds() {
     assert_eq!(
         before, after,
         "fd leak: {before} open fds before the churn waves, {after} after"
+    );
+}
+
+/// One blocking GET on `c`: sends request `seq` and reads until one
+/// whole response is framed. Returns the round-trip time.
+fn round_trip(c: &mut TcpStream, proto: &mut HttpProtocol, seq: u64) -> Duration {
+    let t0 = Instant::now();
+    c.write_all(&proto.request(0, seq)).expect("send request");
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while proto.response_len(&buf).is_none_or(|n| buf.len() < n) {
+        let n = c.read(&mut chunk).expect("read response");
+        assert!(n > 0, "server closed mid-response");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+    assert!(buf.starts_with(b"HTTP/1.1 200"), "not a 200");
+    t0.elapsed()
+}
+
+/// The response path is event-driven end to end: SWS fires the
+/// network's output signal when it has nothing left in flight, and the
+/// gateway's poller wakes for it. With a 1 s `epoll_wait` timeout, a
+/// keep-alive round trip must not wait that timeout out.
+#[test]
+fn keepalive_round_trip_does_not_wait_for_the_poll_timeout() {
+    let _serial = SERIAL.lock().unwrap();
+    let mut rt = RuntimeBuilder::new()
+        .cores(2)
+        .flavor(Flavor::Mely)
+        .workstealing(WsPolicy::improved())
+        .build(ExecKind::Threaded);
+    let net = Arc::new(Mutex::new(SimNet::new(NetConfig { one_way_delay: 0 })));
+    let sws_cfg = SwsConfig {
+        max_clients: 8,
+        poll_interval: 2_330_000,
+        min_poll: 233_000,
+        ..SwsConfig::default()
+    };
+    let gateway = TcpGateway::bind(
+        "127.0.0.1:0",
+        Arc::clone(&net),
+        TcpGatewayConfig {
+            sim_port: sws_cfg.port,
+            max_conns: 8,
+            poll_timeout_ms: 1_000,
+        },
+    )
+    .expect("bind loopback gateway");
+    let addr = gateway.local_addr();
+    let files = sws_cfg.files;
+    let driver = Arc::new(Mutex::new(gateway.driver()));
+    let server = rt.install(SwsService::new(net, driver, sws_cfg));
+    let waker = server.waker(rt.injector());
+    gateway.set_waker(move || waker.wake());
+
+    let keepalive = rt.injector().keepalive();
+    let stopper = rt.injector();
+    let client = std::thread::spawn(move || {
+        let mut proto = HttpProtocol::new(files);
+        let mut c = TcpStream::connect(addr).expect("connect");
+        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        // The first trip also covers the accept; the second is the
+        // steady keep-alive case.
+        let first = round_trip(&mut c, &mut proto, 0);
+        let second = round_trip(&mut c, &mut proto, 1);
+        drop(c);
+        gateway.shutdown();
+        stopper.stop_when_idle();
+        drop(keepalive);
+        (first, second)
+    });
+    let report = rt.run();
+    let (first, second) = client.join().expect("client thread");
+    assert_eq!(report.completed_requests(), 2);
+    assert!(
+        second < Duration::from_millis(100),
+        "keep-alive round trip took {second:?} (first {first:?}) with a 1 s poll timeout"
     );
 }
